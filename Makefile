@@ -2,9 +2,10 @@
 #
 #   make tier1          — the PR gate: build, lint (gofmt + vet), full test
 #                         suite, the race detector over the experiment
-#                         engine's worker pool, the obs sinks, and the serve
-#                         daemon, the chaos gate (fault-injection corpus +
-#                         self-checking stress), a one-iteration
+#                         engine's worker pool, the shared workload images,
+#                         the obs sinks, and the serve daemon, the chaos
+#                         gate (fault-injection corpus + self-checking
+#                         stress), a one-iteration
 #                         BenchmarkFig5 smoke run, the conspec-served
 #                         end-to-end smoke (submit, drain, warm-cache
 #                         restart), the crash smoke (kill -9 mid-suite,
@@ -59,11 +60,13 @@ test:
 
 # The engine schedules simulations on a bounded worker pool with a shared
 # memo cache, and the obs sinks/registry sit on the hot cycle loop; the
-# fault injector's hook rides that loop too. The serve daemon adds its own
-# worker pool, SSE fan-out, and metrics mutex on top. Run all of them under
-# the race detector on every PR.
+# fault injector's hook rides that loop too. Concurrent runs share each
+# workload's lazily built memory image (isa, workload). The serve daemon
+# adds its own worker pool, SSE fan-out, and metrics mutex on top. Run all
+# of them under the race detector on every PR.
 race:
 	$(GO) test -race ./internal/exp ./internal/obs ./internal/faultinject \
+	    ./internal/isa ./internal/workload \
 	    ./internal/serve ./internal/serve/client ./internal/serve/journal \
 	    ./internal/fleet
 

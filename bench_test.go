@@ -172,6 +172,34 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cpu.RunFor(uint64(b.N), ^uint64(0))
 }
 
+// BenchmarkRunSetup measures per-run set-up — installing a workload's
+// memory image and constructing the machine — for one profile under each of
+// the registered defenses, through exp.RunWorkloadObs with empty warmup and
+// measure phases. The workload is generated and its image built before the
+// timer starts, as a Runner shares them across a profile's runs; B/op is
+// what one op's set-ups allocate.
+func BenchmarkRunSetup(b *testing.B) {
+	p, _ := workload.ByName("mcf")
+	w := workload.MustGenerate(p)
+	spec := exp.DefaultSpec()
+	spec.Warmup, spec.Measure = 0, 0
+	setups := func() {
+		for _, d := range core.Defenses() {
+			s := spec
+			s.Sec = exp.SecFor(d)
+			if _, err := exp.RunWorkloadObs(context.Background(), w, s, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	setups() // builds the image
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setups()
+	}
+}
+
 // BenchmarkSecMatrixDispatch drives the dispatch stage's production path
 // (OnDispatchMask over a word-wide producer mask) at worst-case density:
 // every other issue-queue slot holds a valid, unissued memory producer.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"conspec/internal/core"
 	"conspec/internal/pipeline"
@@ -37,10 +36,8 @@ func (r *Runner) Compare(ctx context.Context, spec RunSpec, names []string) (*Co
 		return nil, err
 	}
 	out := &CompareResult{}
-	var mu sync.Mutex
-	rows := make(map[string]CompareRow)
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+	vals := make([][]float64, len(profiles))
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
 		name := p.Name
 		s := spec
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
@@ -72,12 +69,7 @@ func (r *Runner) Compare(ctx context.Context, spec RunSpec, names []string) (*Co
 		}
 		sw := Overhead(origin, swRes)
 
-		mu.Lock()
-		rows[name] = CompareRow{Benchmark: name, TPBuf: tp, Invisi: inv, SWFence: sw}
-		out.Avg.TPBuf += tp / n
-		out.Avg.Invisi += inv / n
-		out.Avg.SWFence += sw / n
-		mu.Unlock()
+		vals[i] = []float64{tp, inv, sw}
 		r.emit(ProgressEvent{Suite: SuiteCompare, Benchmark: name, Phase: PhaseBenchDone,
 			Line: fmt.Sprintf("%-12s tpbuf %+6.1f%%  invisispec %+6.1f%%  sw-fence %+6.1f%%",
 				name, 100*tp, 100*inv, 100*sw)})
@@ -86,12 +78,13 @@ func (r *Runner) Compare(ctx context.Context, spec RunSpec, names []string) (*Co
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range profiles {
-		if row, ok := rows[p.Name]; ok {
-			out.Rows = append(out.Rows, row)
+	for i, p := range profiles {
+		if v := vals[i]; v != nil {
+			out.Rows = append(out.Rows, CompareRow{Benchmark: p.Name, TPBuf: v[0], Invisi: v[1], SWFence: v[2]})
 		}
 	}
-	out.Avg.Benchmark = "Average"
+	out.Avg = CompareRow{Benchmark: "Average", TPBuf: orderedMean(vals, 0),
+		Invisi: orderedMean(vals, 1), SWFence: orderedMean(vals, 2)}
 	return out, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"conspec/internal/attack"
 	"conspec/internal/config"
@@ -92,11 +91,10 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 		return nil, err
 	}
 	out := &DefensesResult{Rows: make([]DefenseRow, len(defs))}
-	n := float64(len(profiles))
 	for i, d := range defs {
 		row := DefenseRow{Name: d.Name(), Title: d.Title(), ExpectBlock: expectBlocksV1(d)}
-		var mu sync.Mutex
-		err := r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+		vals := make([][]float64, len(profiles))
+		err := r.eachProfile(ctx, profiles, func(j int, p workload.Profile) error {
 			s := spec
 			s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
 			origin, err := r.run(ctx, SuiteDefenses, p, s)
@@ -108,14 +106,13 @@ func (r *Runner) Defenses(ctx context.Context, spec RunSpec, names []string, def
 			if err != nil {
 				return suiteErr(ctx, err)
 			}
-			mu.Lock()
-			row.Overhead += Overhead(origin, res) / n
-			mu.Unlock()
+			vals[j] = []float64{Overhead(origin, res)}
 			return nil
 		})
 		if err != nil {
 			return out, err
 		}
+		row.Overhead = orderedMean(vals, 0)
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}

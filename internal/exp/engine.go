@@ -195,10 +195,21 @@ type Runner struct {
 	stats      Stats
 	errors     []RunError
 	suiteSpans map[SuiteID]trace.SpanID // open suite spans, for run-span parentage
+	// workloads holds one generated workload per profile for the Runner's
+	// lifetime, so every mechanism's run of a profile shares its program
+	// and memory image.
+	workloads map[workload.Profile]*workloadEntry
 
 	// testExec, when non-nil, replaces RunWorkload (test hook for panic
 	// and determinism tests).
 	testExec func(w *workload.Workload, spec RunSpec) pipeline.Result
+}
+
+// workloadEntry generates its profile's workload once.
+type workloadEntry struct {
+	once sync.Once
+	w    *workload.Workload
+	err  error
 }
 
 type cacheEntry struct {
@@ -223,7 +234,21 @@ func NewRunner(opts RunnerOptions) *Runner {
 		sem:        make(chan struct{}, workers),
 		cache:      make(map[runKey]*cacheEntry),
 		suiteSpans: make(map[SuiteID]trace.SpanID),
+		workloads:  make(map[workload.Profile]*workloadEntry),
 	}
+}
+
+// workload returns p's generated workload, generating it on first use.
+func (r *Runner) workload(p workload.Profile) (*workload.Workload, error) {
+	r.mu.Lock()
+	e := r.workloads[p]
+	if e == nil {
+		e = &workloadEntry{}
+		r.workloads[p] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() { e.w, e.err = workload.Generate(p) })
+	return e.w, e.err
 }
 
 // suiteSpan returns the parent for a run span submitted under suite:
@@ -431,7 +456,7 @@ func (r *Runner) execute(ctx context.Context, suite SuiteID, p workload.Profile,
 	r.emit(ProgressEvent{Suite: suite, Benchmark: p.Name,
 		Mechanism: mechLabel(spec), Phase: PhaseRunStart})
 	start := time.Now()
-	w, err := workload.Generate(p)
+	w, err := r.workload(p)
 	if err != nil {
 		r.recordError(RunError{Suite: suite, Benchmark: p.Name,
 			Mechanism: mechLabel(spec), Outcome: "generate", Err: err})
@@ -518,32 +543,51 @@ func resolveProfiles(names []string) ([]workload.Profile, error) {
 // eachProfile fans fn out across profiles, one goroutine per profile (the
 // Runner's worker pool bounds actual simulation concurrency), joins them
 // all, and returns ctx.Err() on cancellation or the first fn error
-// otherwise. All goroutines have exited by the time it returns.
-func (r *Runner) eachProfile(ctx context.Context, profiles []workload.Profile, fn func(p workload.Profile) error) error {
+// otherwise. fn receives the profile's index, so it can store per-profile
+// values in a slice without locking. All goroutines have exited by the time
+// it returns.
+func (r *Runner) eachProfile(ctx context.Context, profiles []workload.Profile, fn func(i int, p workload.Profile) error) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	for _, p := range profiles {
+	for i, p := range profiles {
 		wg.Add(1)
-		go func(p workload.Profile) {
+		go func() {
 			defer wg.Done()
 			if ctx.Err() != nil {
 				return
 			}
-			if err := fn(p); err != nil {
+			if err := fn(i, p); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
 			}
-		}(p)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return firstErr
+}
+
+// orderedMean returns the sum of vals[i][k]/len(vals) over the profiles
+// that produced values (non-nil rows), added in profile order. eachProfile's
+// goroutines finish in any order and a float sum depends on the order of
+// its terms, so suites keep per-profile values and reduce them here rather
+// than accumulating as runs complete. A failed profile adds nothing but
+// still counts in the denominator.
+func orderedMean(vals [][]float64, k int) float64 {
+	n := float64(len(vals))
+	sum := 0.0
+	for _, v := range vals {
+		if v != nil {
+			sum += v[k] / n
+		}
+	}
+	return sum
 }
 
 // Options parameterizes RunSuite.

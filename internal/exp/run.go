@@ -7,6 +7,9 @@ package exp
 
 import (
 	"context"
+	"runtime"
+	"slices"
+	"sync"
 
 	"conspec/internal/config"
 	"conspec/internal/isa"
@@ -123,10 +126,16 @@ func RunWorkloadCtx(ctx context.Context, w *workload.Workload, spec RunSpec, set
 }
 
 // RunWorkloadObs is RunWorkloadCtx with a phase hook: onPhase, when non-nil,
-// is called at the start of each committed-instruction phase ("warmup", then
+// is called at the start of each phase ("setup" — image install and machine
+// construction — then the committed-instruction phases "warmup" and
 // "measure") and must return a closure invoked when the phase ends — the
 // shape a span tracer wants. The hook observes phase boundaries only; the
 // simulation is byte-identical with and without it.
+//
+// Without a setup hook nothing outside this call can hold the machine, so
+// its memory hierarchy is recycled: the tag arrays are Reset and reused by
+// a later run with the same HierarchyConfig instead of being reallocated.
+// With a hook the caller may keep the CPU, and it gets a fresh hierarchy.
 func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, setup func(*pipeline.CPU), onPhase func(name string) func()) (pipeline.Result, error) {
 	maxCycles := spec.MaxCycles
 	if maxCycles == 0 {
@@ -135,10 +144,16 @@ func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, set
 	cfg := spec.Core
 	cfg.Mem.L1DUpdate = spec.L1DUpdate
 
+	endSetup := beginPhase(onPhase, "setup")
 	backing := isa.NewFlatMem()
 	w.Load(backing)
-	cpu := pipeline.NewWithMemory(cfg, spec.Sec, backing)
-	if setup != nil {
+	var cpu *pipeline.CPU
+	if setup == nil {
+		hier := acquireHierarchy(cfg.Mem, backing)
+		defer releaseHierarchy(hier)
+		cpu = pipeline.New(cfg, spec.Sec, hier)
+	} else {
+		cpu = pipeline.NewWithMemory(cfg, spec.Sec, backing)
 		setup(cpu)
 	}
 	if spec.FlightWindow > 0 {
@@ -146,6 +161,7 @@ func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, set
 	}
 	cpu.SetSelfCheck(spec.SelfCheck)
 	cpu.SetPC(w.Entry)
+	endSetup()
 	wres, err := runObsPhase(ctx, cpu, spec.Warmup, maxCycles, "warmup", onPhase)
 	if err != nil || !wres.Outcome.Completed() {
 		return wres, err
@@ -164,14 +180,62 @@ func RunWorkloadObs(ctx context.Context, w *workload.Workload, spec RunSpec, set
 	return res, err
 }
 
-// runObsPhase wraps runPhase in the onPhase begin/end pair.
-func runObsPhase(ctx context.Context, cpu *pipeline.CPU, insts, maxCycles uint64, name string, onPhase func(string) func()) (pipeline.Result, error) {
+// beginPhase opens phase name through onPhase and returns the closure that
+// ends it (a no-op when there is no hook).
+func beginPhase(onPhase func(string) func(), name string) func() {
 	if onPhase != nil {
 		if end := onPhase(name); end != nil {
-			defer end()
+			return end
 		}
 	}
+	return func() {}
+}
+
+// runObsPhase wraps runPhase in the onPhase begin/end pair.
+func runObsPhase(ctx context.Context, cpu *pipeline.CPU, insts, maxCycles uint64, name string, onPhase func(string) func()) (pipeline.Result, error) {
+	defer beginPhase(onPhase, name)()
 	return runPhase(ctx, cpu, insts, maxCycles)
+}
+
+// idleHierarchies holds the hierarchies of finished runs for reuse by the
+// next run with the same HierarchyConfig. It keeps at most GOMAXPROCS of
+// them — about one per concurrently running simulation — and drops the
+// oldest beyond that, so idle tag arrays (4 MB each at the paper's
+// configuration) cannot pile up across configurations.
+var idleHierarchies struct {
+	mu sync.Mutex
+	hs []*mem.Hierarchy // oldest first
+}
+
+// acquireHierarchy returns a hierarchy for cfg over backing: the most
+// recently idled one with that configuration, Reset to its freshly built
+// state, or a new one.
+func acquireHierarchy(cfg mem.HierarchyConfig, backing *isa.FlatMem) *mem.Hierarchy {
+	idle := &idleHierarchies
+	idle.mu.Lock()
+	for i := len(idle.hs) - 1; i >= 0; i-- {
+		if h := idle.hs[i]; h.Config() == cfg {
+			idle.hs = slices.Delete(idle.hs, i, i+1)
+			idle.mu.Unlock()
+			h.Reset(backing)
+			return h
+		}
+	}
+	idle.mu.Unlock()
+	return mem.NewHierarchy(cfg, backing)
+}
+
+// releaseHierarchy idles a hierarchy whose run has finished. It lets go of
+// the run's memory and histogram while it waits.
+func releaseHierarchy(h *mem.Hierarchy) {
+	h.Backing, h.DataLat = nil, nil
+	idle := &idleHierarchies
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	if over := len(idle.hs) + 1 - runtime.GOMAXPROCS(0); over > 0 {
+		idle.hs = slices.Delete(idle.hs, 0, over)
+	}
+	idle.hs = append(idle.hs, h)
 }
 
 // Overhead returns the runtime overhead of res relative to origin runs of

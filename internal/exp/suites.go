@@ -116,8 +116,8 @@ func (r *Runner) Scope(ctx context.Context, spec RunSpec, names []string) (*Scop
 		UnresolvedBranchFrac: make(map[string]float64),
 	}
 	var mu sync.Mutex
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+	vals := make([][]float64, len(profiles))
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
 		s := spec
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
 		origin, err := r.run(ctx, SuiteScope, p, s)
@@ -135,10 +135,9 @@ func (r *Runner) Scope(ctx context.Context, spec RunSpec, names []string) (*Scop
 			return suiteErr(ctx, err)
 		}
 		ovBO, ovFull := Overhead(origin, bo), Overhead(origin, full)
+		vals[i] = []float64{ovBO, ovFull}
 		mu.Lock()
 		out.PerBench[p.Name] = [2]float64{ovBO, ovFull}
-		out.BranchOnlyAvg += ovBO / n
-		out.FullAvg += ovFull / n
 		if full.Committed > 0 {
 			out.UnresolvedBranchFrac[p.Name] =
 				float64(full.UnresolvedBranchAtDispatch) / float64(full.Committed)
@@ -149,6 +148,7 @@ func (r *Runner) Scope(ctx context.Context, spec RunSpec, names []string) (*Scop
 				p.Name, 100*ovBO, 100*ovFull)})
 		return nil
 	})
+	out.BranchOnlyAvg, out.FullAvg = orderedMean(vals, 0), orderedMean(vals, 1)
 	return out, err
 }
 
@@ -191,10 +191,8 @@ func (r *Runner) LRU(ctx context.Context, spec RunSpec, names []string) (*LRURes
 	if err != nil {
 		return nil, err
 	}
-	var out LRUResult
-	var mu sync.Mutex
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+	vals := make([][]float64, len(profiles))
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
 		s := spec
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
 		origin, err := r.run(ctx, SuiteLRU, p, s)
@@ -202,25 +200,22 @@ func (r *Runner) LRU(ctx context.Context, spec RunSpec, names []string) (*LRURes
 			return suiteErr(ctx, err)
 		}
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.CacheHitTPBuf}
-		var deltas [3]float64
-		for i, pol := range []mem.UpdatePolicy{mem.UpdateAlways, mem.UpdateNoSpec, mem.UpdateDelayed} {
+		deltas := make([]float64, 3)
+		for k, pol := range []mem.UpdatePolicy{mem.UpdateAlways, mem.UpdateNoSpec, mem.UpdateDelayed} {
 			s.L1DUpdate = pol
 			res, err := r.run(ctx, SuiteLRU, p, s)
 			if err != nil {
 				return suiteErr(ctx, err)
 			}
-			deltas[i] = Overhead(origin, res)
+			deltas[k] = Overhead(origin, res)
 		}
-		mu.Lock()
-		out.Always += deltas[0] / n
-		out.NoUpdate += deltas[1] / n
-		out.Delayed += deltas[2] / n
-		mu.Unlock()
+		vals[i] = deltas
 		r.emit(ProgressEvent{Suite: SuiteLRU, Benchmark: p.Name, Phase: PhaseBenchDone,
 			Line: "lru: " + p.Name})
 		return nil
 	})
-	return &out, err
+	return &LRUResult{Always: orderedMean(vals, 0), NoUpdate: orderedMean(vals, 1),
+		Delayed: orderedMean(vals, 2)}, err
 }
 
 // LRUText renders the §VII.A comparison.
@@ -255,8 +250,8 @@ func (r *Runner) ICache(ctx context.Context, spec RunSpec, names []string) (*ICa
 	profiles = append(profiles, workload.ICacheStress())
 	out := &ICacheResult{Stalls: make(map[string]uint64)}
 	var mu sync.Mutex
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+	vals := make([][]float64, len(profiles))
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
 		s := spec
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
 		origin, err := r.run(ctx, SuiteICache, p, s)
@@ -274,15 +269,15 @@ func (r *Runner) ICache(ctx context.Context, spec RunSpec, names []string) (*ICa
 		if err != nil {
 			return suiteErr(ctx, err)
 		}
+		vals[i] = []float64{without, Overhead(origin, res)}
 		mu.Lock()
-		out.Without += without / n
-		out.With += Overhead(origin, res) / n
 		out.Stalls[p.Name] = res.FetchStallsICacheFilter
 		mu.Unlock()
 		r.emit(ProgressEvent{Suite: SuiteICache, Benchmark: p.Name, Phase: PhaseBenchDone,
 			Line: "icache: " + p.Name})
 		return nil
 	})
+	out.Without, out.With = orderedMean(vals, 0), orderedMean(vals, 1)
 	return out, err
 }
 
@@ -371,8 +366,8 @@ func (r *Runner) DTLB(ctx context.Context, spec RunSpec, names []string) (*DTLBR
 	}
 	out := &DTLBResult{Blocks: make(map[string]uint64)}
 	var mu sync.Mutex
-	n := float64(len(profiles))
-	err = r.eachProfile(ctx, profiles, func(p workload.Profile) error {
+	vals := make([][]float64, len(profiles))
+	err = r.eachProfile(ctx, profiles, func(i int, p workload.Profile) error {
 		s := spec
 		s.Sec = pipeline.SecurityConfig{Mechanism: core.Origin}
 		origin, err := r.run(ctx, SuiteDTLB, p, s)
@@ -390,15 +385,15 @@ func (r *Runner) DTLB(ctx context.Context, spec RunSpec, names []string) (*DTLBR
 		if err != nil {
 			return suiteErr(ctx, err)
 		}
+		vals[i] = []float64{without, Overhead(origin, res)}
 		mu.Lock()
-		out.Without += without / n
-		out.With += Overhead(origin, res) / n
 		out.Blocks[p.Name] = res.DTLBFilterBlocks
 		mu.Unlock()
 		r.emit(ProgressEvent{Suite: SuiteDTLB, Benchmark: p.Name, Phase: PhaseBenchDone,
 			Line: "dtlb: " + p.Name})
 		return nil
 	})
+	out.Without, out.With = orderedMean(vals, 0), orderedMean(vals, 1)
 	return out, err
 }
 

@@ -44,8 +44,8 @@ func exportChrome(t *testing.T, tr *trace.Tracer) []chromeEvent {
 
 // TestRunnerSuiteTrace pins the acceptance shape of an instrumented suite
 // run: the export is Perfetto-loadable JSON containing a suite span, run
-// spans annotated with their mechanism nested inside it, warmup/measure
-// phase spans nested inside the runs, and — after a warm re-run — cached
+// spans annotated with their mechanism nested inside it, setup/warmup/
+// measure phase spans nested inside the runs, and — after a warm re-run — cached
 // run spans annotated with the serving cache tier.
 func TestRunnerSuiteTrace(t *testing.T) {
 	tr := trace.New(256)
@@ -92,9 +92,9 @@ func TestRunnerSuiteTrace(t *testing.T) {
 	if executed != 4 || cached != 4 {
 		t.Fatalf("executed/cached run spans = %d/%d, want 4/4", executed, cached)
 	}
-	// Phase spans: one warmup and one measure per executed run, each nested
-	// in a run span's time range on the run's thread track.
-	for _, phase := range []string{"warmup", "measure"} {
+	// Phase spans: one setup, one warmup and one measure per executed run,
+	// each nested in a run span's time range on the run's thread track.
+	for _, phase := range []string{"setup", "warmup", "measure"} {
 		spans := byName[phase]
 		if len(spans) != 4 {
 			t.Fatalf("%d %s spans, want 4", len(spans), phase)
@@ -123,9 +123,9 @@ func TestRunnerSuiteTrace(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadObsPhases pins the phase-hook contract: warmup then
-// measure, begin strictly before end, and the hook changing nothing about
-// the result.
+// TestRunWorkloadObsPhases pins the phase-hook contract: setup, warmup,
+// then measure, begin strictly before end, and the hook changing nothing
+// about the result.
 func TestRunWorkloadObsPhases(t *testing.T) {
 	p, ok := workload.ByName("astar")
 	if !ok {
@@ -145,7 +145,7 @@ func TestRunWorkloadObsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"begin:warmup", "end:warmup", "begin:measure", "end:measure"}
+	want := []string{"begin:setup", "end:setup", "begin:warmup", "end:warmup", "begin:measure", "end:measure"}
 	if len(log) != len(want) {
 		t.Fatalf("phase log %v, want %v", log, want)
 	}

@@ -10,7 +10,10 @@
 // capture, while data correctness is the backing store's job.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level identifies where in the hierarchy an access hit.
 type Level int
@@ -106,7 +109,10 @@ type Cache struct {
 	repl     ReplacementKind
 	plru     *plruState
 	rng      xorshift64
-	Stats    CacheStats
+	// dirty has one bit per set a Refill has written since the cache was
+	// built or reset: only those sets can hold state reset must clear.
+	dirty []uint64
+	Stats CacheStats
 }
 
 // NewCache builds a cache of size bytes, the given associativity and line
@@ -139,8 +145,32 @@ func NewCache(name string, size, ways, lineBytes, hitLat int) *Cache {
 		setBits:  sb,
 		setMask:  uint64(sets - 1),
 		lines:    make([]line, sets*ways),
-		rng:      xorshift64(0x9E3779B97F4A7C15),
+		rng:      rngSeed,
+		dirty:    make([]uint64, (sets+63)/64),
 	}
+}
+
+// rngSeed is every cache's initial ReplRandom PRNG state.
+const rngSeed = xorshift64(0x9E3779B97F4A7C15)
+
+// reset returns the cache to its freshly built state: every line invalid,
+// replacement metadata, PRNG and statistics as NewCache+SetReplacement
+// leave them. It clears only the sets marked dirty, so resetting a large,
+// sparsely used cache neither costs nor faults in its whole tag array.
+func (c *Cache) reset() {
+	for w, word := range c.dirty {
+		for ; word != 0; word &= word - 1 {
+			set := w*64 + bits.TrailingZeros64(word)
+			clear(c.lines[set*c.ways : (set+1)*c.ways])
+			if c.plru != nil {
+				c.plru.bits[set] = 0
+			}
+		}
+	}
+	clear(c.dirty)
+	c.clock = 0
+	c.rng = rngSeed
+	c.Stats = CacheStats{}
 }
 
 // SetReplacement selects the victim policy; call before first use. Tree
@@ -291,6 +321,7 @@ func (c *Cache) Refill(addr uint64) (evicted uint64, didEvict bool) {
 	}
 	c.clock++
 	set[victim] = line{tag: tag, valid: true, lru: c.clock}
+	c.dirty[setIdx>>6] |= 1 << (setIdx & 63)
 	c.touchWay(setIdx, victim)
 	return evicted, didEvict
 }

@@ -73,6 +73,29 @@ func NewHierarchy(cfg HierarchyConfig, backing *isa.FlatMem) *Hierarchy {
 	}
 }
 
+// Reset returns h to the state NewHierarchy(h.Config(), backing) builds —
+// every cache and TLB line invalid, replacement clocks, PLRU bits, PRNG
+// seeds, latencies and statistics at their initial values, no prefetches
+// counted, no DataLat histogram and no coherence peers — without
+// reallocating its tag arrays. A run on a reset hierarchy is identical to
+// one on a fresh one. h must not be in use, and must not share levels with
+// another hierarchy (NewSharedHierarchy).
+func (h *Hierarchy) Reset(backing *isa.FlatMem) {
+	cfg := h.cfg
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2, h.L3} {
+		c.reset()
+	}
+	h.L1I.HitLat, h.L1D.HitLat, h.L2.HitLat, h.L3.HitLat = cfg.L1ILat, cfg.L1DLat, cfg.L2Lat, cfg.L3Lat
+	h.ITLB.reset()
+	h.DTLB.reset()
+	h.ITLB.WalkLat, h.DTLB.WalkLat = cfg.PageWalkLat, cfg.PageWalkLat
+	h.MemLat = cfg.MemLat
+	h.Backing = backing
+	h.Prefetches = 0
+	h.DataLat = nil
+	h.peers = nil
+}
+
 // NewSharedHierarchy builds a second core's hierarchy that shares the
 // given hierarchy's L2, L3 and backing store but has private L1s and TLBs.
 // The two are registered as coherence peers of each other.

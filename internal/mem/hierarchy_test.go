@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 
 	"conspec/internal/isa"
+	"conspec/internal/obs"
 )
 
 func testConfig() HierarchyConfig {
@@ -266,5 +268,39 @@ func TestNoRefillAccessInvisible(t *testing.T) {
 	h.AccessData(addr, false)
 	if r := h.AccessDataNoRefill(addr); r.Level != LevelL1 {
 		t.Fatalf("invisible access on warm line hit %v", r.Level)
+	}
+}
+
+// TestResetEqualsFresh dirties a hierarchy through every mutating path —
+// refills, evictions, flushes, deferred touches, prefetches, TLB walks, a
+// DataLat histogram, a coherence peer — and checks Reset leaves it
+// field-for-field equal to a freshly built one, under every replacement
+// policy.
+func TestResetEqualsFresh(t *testing.T) {
+	for _, repl := range []ReplacementKind{ReplLRU, ReplTreePLRU, ReplRandom} {
+		t.Run(repl.String(), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Replacement = repl
+			cfg.L1DUpdate = UpdateDelayed
+			cfg.NextLinePrefetch = true
+			h := NewHierarchy(cfg, isa.NewFlatMem())
+			h.DataLat = obs.NewRegistry().Histogram("lat", obs.DefaultBounds)
+			NewSharedHierarchy(cfg, h)
+			for i := uint64(0); i < 4096; i++ {
+				addr := (i * 0x9E3779B97F4A7C15) % (1 << 22)
+				h.AccessData(addr, i%3 == 0)
+				h.AccessInst(addr)
+				h.TouchL1D(addr)
+				if i%7 == 0 {
+					h.Flush(addr)
+				}
+			}
+			h.L1D.HitLat, h.ITLB.WalkLat, h.MemLat = 99, 99, 99
+			backing := isa.NewFlatMem()
+			h.Reset(backing)
+			if fresh := NewHierarchy(cfg, backing); !reflect.DeepEqual(h, fresh) {
+				t.Fatal("reset hierarchy differs from a freshly built one")
+			}
+		})
 	}
 }

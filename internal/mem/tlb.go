@@ -74,6 +74,13 @@ func (t *TLB) Probe(addr uint64) bool {
 	return false
 }
 
+// reset returns the TLB to its freshly built state.
+func (t *TLB) reset() {
+	clear(t.entries)
+	t.clock, t.mru = 0, 0
+	t.Stats = CacheStats{}
+}
+
 // InvalidateAll empties the TLB.
 func (t *TLB) InvalidateAll() {
 	for i := range t.entries {

@@ -46,29 +46,42 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		sec     SecurityConfig
 		metrics bool
 		flight  bool
+		image   bool
 	}{
-		{"origin", SecurityConfig{Mechanism: core.Origin}, false, false},
-		{"cachehit-tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false},
-		{"ssbd", SecurityConfig{Mechanism: core.Origin, SSBD: true}, false, false},
+		{"origin", SecurityConfig{Mechanism: core.Origin}, false, false, false},
+		{"cachehit-tpbuf", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, false},
+		{"ssbd", SecurityConfig{Mechanism: core.Origin, SSBD: true}, false, false, false},
 		// The new Defense backends must keep the property: the fence
 		// watermark is a scalar, parked delay-on-miss loads reuse a
 		// preallocated slice, and invisible loads change no bookkeeping.
-		{"fence", SecurityConfig{Mechanism: core.Fence}, false, false},
-		{"delay-on-miss", SecurityConfig{Mechanism: core.DelayOnMiss, Scope: core.ScopeBranchMem}, false, false},
-		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}, false, false},
+		{"fence", SecurityConfig{Mechanism: core.Fence}, false, false, false},
+		{"delay-on-miss", SecurityConfig{Mechanism: core.DelayOnMiss, Scope: core.ScopeBranchMem}, false, false, false},
+		{"invisispec", SecurityConfig{Mechanism: core.InvisiSpec}, false, false, false},
 		// The obs contract: an attached registry with interval sampling
 		// costs array writes only — still zero allocations per cycle.
-		{"origin-metrics", SecurityConfig{Mechanism: core.Origin}, true, false},
-		{"cachehit-tpbuf-metrics", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, false},
+		{"origin-metrics", SecurityConfig{Mechanism: core.Origin}, true, false, false},
+		{"cachehit-tpbuf-metrics", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, false, false},
 		// The flight recorder's contract: an armed recorder is ring stores
 		// only — still zero allocations per cycle, even alongside metrics.
-		{"origin-flight", SecurityConfig{Mechanism: core.Origin}, false, true},
-		{"cachehit-tpbuf-flight", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, true},
+		{"origin-flight", SecurityConfig{Mechanism: core.Origin}, false, true, false},
+		{"cachehit-tpbuf-flight", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, true, true, false},
+		// Over an installed image, pages are copied on first touch: once
+		// warmup has touched the working set, nothing is left to copy.
+		{"cachehit-tpbuf-image", SecurityConfig{Mechanism: core.CacheHitTPBuf, Scope: core.ScopeBranchMem}, false, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := allocKernel()
 			backing := isa.NewFlatMem()
-			prog.Load(backing)
+			if tc.image {
+				backing.Install(isa.BuildImage(func(m isa.Memory) {
+					prog.Load(m)
+					for a := uint64(0x40000); a < 0x40000+256*8; a += 8 {
+						m.Write(a, 8, a) // the kernel's data buffer
+					}
+				}))
+			} else {
+				prog.Load(backing)
+			}
 			cpu := NewWithMemory(smallCore(), tc.sec, backing)
 			if tc.flight {
 				cpu.ArmFlightRecorder(0, 0)

@@ -24,6 +24,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"conspec/internal/asm"
 	"conspec/internal/isa"
@@ -145,14 +146,19 @@ type Profile struct {
 	PaperL1HitRate float64
 }
 
-// Workload is a generated, loadable benchmark program.
+// Workload is a generated, loadable benchmark program. It is safe for
+// concurrent use: its memory image is built once, on the first Load, and
+// shared read-only by every memory it is loaded into.
 type Workload struct {
 	Profile Profile
 	Prog    *asm.Program
 	// Entry is the first executed address.
 	Entry uint64
-	// hot/cold region bases used by Seed.
+	// hot/cold region bases used by fill.
 	hotBase, coldBase uint64
+
+	imageOnce sync.Once
+	image     *isa.Image
 }
 
 // Register roles inside generated code (documented for the disassembly
@@ -466,9 +472,18 @@ func MustGenerate(p Profile) *Workload {
 	return w
 }
 
-// Load installs the program and seeds the data regions: the chase ring is a
-// random cycle through the cold region so dependent chases visit every node.
+// Load installs the workload's memory image in m: the program, the segment
+// dispatch table, and the seeded data regions. The image is built on the
+// first call and shared by every later one; m copies an image page only
+// when the run first touches it.
 func (w *Workload) Load(m *isa.FlatMem) {
+	w.imageOnce.Do(func() { w.image = isa.BuildImage(w.fill) })
+	m.Install(w.image)
+}
+
+// fill writes the initial memory contents: the chase ring is a random cycle
+// through the cold region so dependent chases visit every node.
+func (w *Workload) fill(m isa.Memory) {
 	w.Prog.Load(m)
 	// Segment dispatch table (segmented kernels only).
 	for seg := 0; seg < w.Profile.CodeSegments; seg++ {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"conspec/internal/isa"
@@ -242,5 +243,43 @@ func TestLoadSeedsDeterministic(t *testing.T) {
 		if m1.Read(0x4000_0000+off, 8) != m2.Read(0x4000_0000+off, 8) {
 			t.Fatal("nondeterministic seeding")
 		}
+	}
+}
+
+// TestLoadSharesOneImage: concurrent Loads of one workload build its image
+// once (meaningful under -race), copy no page until it is touched, and see
+// identical contents.
+func TestLoadSharesOneImage(t *testing.T) {
+	w := MustGenerate(mustProfile(t, "mcf"))
+	mems := make([]*isa.FlatMem, 4)
+	var wg sync.WaitGroup
+	for i := range mems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mems[i] = isa.NewFlatMem()
+			w.Load(mems[i])
+		}()
+	}
+	wg.Wait()
+	for i, m := range mems {
+		if m.Pages() != 0 {
+			t.Fatalf("memory %d: Load copied %d pages before any access", i, m.Pages())
+		}
+	}
+	mems[0].Write(w.coldBase, 8, 1) // private to mems[0]
+	for off := uint64(4096); off < 1<<20; off += 4096 {
+		want := mems[1].Read(w.coldBase+off, 8)
+		if want == 0 {
+			t.Fatalf("ring word at +%#x is zero", off)
+		}
+		for i, m := range mems[2:] {
+			if got := m.Read(w.coldBase+off, 8); got != want {
+				t.Fatalf("memory %d reads %#x at +%#x, want %#x", i+2, got, off, want)
+			}
+		}
+	}
+	if mems[1].Read(w.coldBase, 8) == 1 {
+		t.Fatal("a write to one memory reached another through the shared image")
 	}
 }

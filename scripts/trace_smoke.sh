@@ -46,6 +46,6 @@ echo "trace-smoke: span-traced suite run"
     exit 1
 }
 $GO run ./scripts/tracecheck -chrome "$out/fig5.trace.json" \
-    "suite:fig5" "run:astar" "warmup" "measure"
+    "suite:fig5" "run:astar" "setup" "warmup" "measure"
 
 echo "trace-smoke: OK (artifacts in $out)"
